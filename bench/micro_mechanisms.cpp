@@ -7,6 +7,8 @@
  *    (section 2.3.2);
  *  - the GC trace loop per live object, Base vs Infrastructure
  *    (header-bit checks + instance tallying, sections 2.3-2.4);
+ *  - the trace loop on a scattered heap larger than the last-level
+ *    cache (regression guard for the child prefetch);
  *  - the ownee sorted-array binary search (section 2.5.2);
  *  - assertion registration calls (header-bit writes);
  *  - handle (root) registration;
@@ -17,11 +19,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "assertions/ownership.h"
 #include "heap/block.h"
 #include "support/logging.h"
+#include "support/rng.h"
 #include "runtime/runtime.h"
 
 namespace gcassert {
@@ -112,6 +119,74 @@ BENCHMARK(BM_TracePerObject)
     ->Args({100000, 0})
     ->Args({100000, 1})
     ->ArgNames({"live", "infra"});
+
+/**
+ * Mark cost per object on a heap larger than the last-level cache
+ * whose objects are linked in shuffled address order, so nearly every
+ * header the trace loads is a cache miss (the shape of a long-running
+ * heap whose objects sit wherever a free cell was). Fans of 64 slots
+ * hold mostly leaves, with a two-reference node in every sixteenth
+ * slot. Reports mark_ns_per_object from the trace-phase timer; a
+ * change that drops the trace loop's child prefetch shows up as a
+ * rise. The heap is 5/4 of the L3 size sysconf reports, clamped to
+ * [64, 512] MiB to keep the run small on hosts with very large caches.
+ */
+void
+BM_TraceScattered(benchmark::State &state)
+{
+    constexpr uint32_t kFan = 64;
+    constexpr uint32_t kNodeEvery = 16;
+    constexpr uint64_t kCellBytes = 48; // Leaf and Node size class
+    long llc = sysconf(_SC_LEVEL3_CACHE_SIZE);
+    uint64_t heap_bytes = std::clamp<uint64_t>(
+        llc > 0 ? uint64_t(llc) * 5 / 4 : 0, 64ull << 20, 512ull << 20);
+
+    Env env(true, 2 * heap_bytes);
+    Runtime &rt = *env.runtime;
+    TypeId leaf_type = rt.types().define("Leaf").scalars(24).build();
+
+    std::vector<Object *> pool(heap_bytes / kCellBytes);
+    for (Object *&obj : pool)
+        obj = rt.allocRaw(leaf_type);
+    Rng rng(42);
+    rng.shuffle(pool);
+
+    // Per fan: the plain leaf slots, plus two leaves under each node.
+    const uint32_t nodes = kFan / kNodeEvery;
+    const size_t per_fan = (kFan - nodes) + 2 * nodes;
+    const uint32_t fans = static_cast<uint32_t>(pool.size() / per_fan);
+    Handle top(rt, rt.allocArrayRaw(env.arrayType, fans), "top");
+    size_t next = 0;
+    for (uint32_t f = 0; f < fans; ++f) {
+        Object *fan = rt.allocArrayRaw(env.arrayType, kFan);
+        top->setRef(f, fan);
+        for (uint32_t slot = 0; slot < kFan; ++slot) {
+            if (slot % kNodeEvery == kNodeEvery - 1) {
+                Object *node = rt.allocRaw(env.nodeType);
+                node->setRef(0, pool[next++]);
+                node->setRef(1, pool[next++]);
+                fan->setRef(slot, node);
+            } else {
+                fan->setRef(slot, pool[next++]);
+            }
+        }
+    }
+    pool.clear();
+    pool.shrink_to_fit();
+
+    const GcStats &stats = rt.gcStats();
+    uint64_t trace_before = stats.tracePhase.elapsedNanos();
+    uint64_t marked_before = stats.objectsMarked;
+    for (auto _ : state)
+        rt.collect();
+    uint64_t marked = stats.objectsMarked - marked_before;
+    state.counters["mark_ns_per_object"] =
+        double(stats.tracePhase.elapsedNanos() - trace_before) /
+        double(std::max<uint64_t>(marked, 1));
+    state.counters["heap_mb"] = double(heap_bytes >> 20);
+    state.SetItemsProcessed(int64_t(marked));
+}
+BENCHMARK(BM_TraceScattered)->Unit(benchmark::kMillisecond);
 
 /** Ownership-phase cost on top of the trace. */
 void

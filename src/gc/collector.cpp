@@ -14,6 +14,27 @@
 
 namespace gcassert {
 
+namespace {
+
+/**
+ * Prefetch the header of every non-null child in @p slots [first, n)
+ * before the in-order visit loop reaches it. A scattered heap makes
+ * each child's flag-word load a cache miss; issuing them all up front
+ * overlaps those misses instead of serializing them one visit at a
+ * time. Visit order is untouched (the loop that follows is the one
+ * that marks and pushes), so the DFS and its tagged paths are the
+ * same as without the prefetch.
+ */
+inline void
+prefetchChildren(Object *const *slots, uint32_t first, uint32_t n)
+{
+    for (uint32_t i = first; i < n; ++i)
+        if (Object *child = slots[i])
+            __builtin_prefetch(child);
+}
+
+} // namespace
+
 Collector::Collector(Heap &heap, TypeRegistry &types, RootRegistry &roots,
                      MutatorRegistry &mutators, AssertionEngine &engine,
                      RememberedSet &remset, CollectorConfig config)
@@ -166,7 +187,9 @@ Collector::mnVisit(Object *obj)
     if (flags & kMarkBit)
         return;
     obj->setFlag(kMarkBit);
-    worklist_.push(obj);
+    // A leaf has nothing to scan, so it never enters the worklist.
+    if (obj->numRefs() != 0)
+        worklist_.push(obj);
 }
 
 void
@@ -182,6 +205,7 @@ Collector::mnDrain()
         // Weak slot 0 is deliberately traced as a strong edge: weak
         // clearing is observable and stays full-GC-only, so a minor
         // collection can never change when a weak reference nulls.
+        prefetchChildren(slots, 0, n);
         for (uint32_t i = 0; i < n; ++i) {
             if (slots[i])
                 mnVisit(slots[i]);
@@ -238,6 +262,7 @@ Collector::minorCollect()
         ++result.remsetSources;
         uint32_t n = src->numRefs();
         Object **slots = n ? src->refSlotAddr(0) : nullptr;
+        prefetchChildren(slots, 0, n);
         for (uint32_t i = 0; i < n; ++i) {
             if (slots[i])
                 mnVisit(slots[i]);
@@ -849,7 +874,13 @@ Collector::p2Visit(Object **slot, Object *obj)
         return;
     }
     markObject<kInfra>(obj);
-    worklist_.push(obj);
+    // A leaf's pop would only push and pop its path tag, scanning
+    // nothing, so it never enters the worklist. Every check above has
+    // already run, and the tagged entries (the path) are unchanged:
+    // a leaf's tag is never on the stack while anything is visited.
+    // Weak types always have a slot 0, so none is skipped here.
+    if (obj->numRefs() != 0)
+        worklist_.push(obj);
 }
 
 template <bool kInfra, bool kPath>
@@ -873,6 +904,7 @@ Collector::p2Drain()
             weakRefs_.push_back(obj);
             first = 1;
         }
+        prefetchChildren(slots, first, n);
         for (uint32_t i = first; i < n; ++i) {
             Object *child = slots[i];
             if (child)
@@ -977,6 +1009,7 @@ Collector::ownerScan(Object *from, Object *owner,
         weakRefs_.push_back(from);
         first = 1;
     }
+    prefetchChildren(slots, first, n);
     for (uint32_t i = first; i < n; ++i) {
         Object *child = slots[i];
         if (child)
@@ -996,6 +1029,7 @@ Collector::ownerScan(Object *from, Object *owner,
             weakRefs_.push_back(obj);
             begin = 1;
         }
+        prefetchChildren(child_slots, begin, m);
         for (uint32_t i = begin; i < m; ++i) {
             Object *child = child_slots[i];
             if (child)
@@ -1084,7 +1118,9 @@ Collector::p1Visit(Object **slot, Object *obj, Object *owner,
     }
 
     markObject<true>(obj);
-    worklist_.push(obj);
+    // Leaves skip the worklist, as in p2Visit.
+    if (obj->numRefs() != 0)
+        worklist_.push(obj);
 }
 
 // ---------------------------------------------------------------------
@@ -1290,6 +1326,7 @@ Collector::parScan(Object *obj, MarkWorker &w)
         w.weakRefs.push_back(obj);
         first = 1;
     }
+    prefetchChildren(slots, first, n);
     for (uint32_t i = first; i < n; ++i) {
         Object *child = slots[i];
         if (child)
@@ -1328,8 +1365,12 @@ Collector::parVisit(Object **slot, Object *obj, MarkWorker &w)
             ++w.censusCounts[type];
             w.censusBytes[type] += obj->sizeBytes();
         }
-        pendingWork_.fetch_add(1, std::memory_order_seq_cst);
-        w.deque.push(obj);
+        // A won leaf has nothing to scan: no deque push, and so no
+        // pendingWork_ increment to pair with a decrement after it.
+        if (obj->numRefs() != 0) {
+            pendingWork_.fetch_add(1, std::memory_order_seq_cst);
+            w.deque.push(obj);
+        }
     } else if (kInfra && (flags & kUnsharedBit) != 0) [[unlikely]] {
         // The loser of the mark race is by definition a second
         // incoming reference — the condition assert-unshared

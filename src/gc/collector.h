@@ -385,7 +385,8 @@ class Collector {
     /**
      * Parallel-phase termination counter: one virtual token per
      * worker until its root slice is pushed, plus one unit per
-     * marked-but-unscanned object. Zero means the trace is complete.
+     * marked-but-unscanned object with reference slots (leaves are
+     * never pushed). Zero means the trace is complete.
      */
     std::atomic<int64_t> pendingWork_{0};
     /** The path-recording downgrade is logged once per collector. */

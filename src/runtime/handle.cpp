@@ -32,10 +32,11 @@ Handle::operator=(const Handle &other)
 Handle::Handle(Handle &&other) noexcept : runtime_(other.runtime_)
 {
     if (runtime_) {
-        Object *obj = other.node_.get();
-        const char *name = other.node_.name();
+        // Root the new node before releasing the old one: another
+        // mutator's collection may run between the two locked steps,
+        // and must never find the object unrooted.
+        runtime_->addRoot(node_, other.node_.get(), other.node_.name());
         other.reset();
-        runtime_->addRoot(node_, obj, name);
     }
 }
 
@@ -47,10 +48,9 @@ Handle::operator=(Handle &&other) noexcept
     reset();
     runtime_ = other.runtime_;
     if (runtime_) {
-        Object *obj = other.node_.get();
-        const char *name = other.node_.name();
+        // Same order as the move constructor, for the same reason.
+        runtime_->addRoot(node_, other.node_.get(), other.node_.name());
         other.reset();
-        runtime_->addRoot(node_, obj, name);
     }
     return *this;
 }

@@ -224,6 +224,11 @@ ServerWorkload::cacheLookupOrInsert(Runtime &runtime,
     if (it != cacheIndex_.end()) {
         Object *entry = it->second;
         entry->setScalar<uint64_t>(8, entry->scalar<uint64_t>(8) + 1);
+        // Between the unlink and the relink the entry is reachable
+        // from nothing the collector sees (cacheIndex_ is not a
+        // root), and another worker's allocation may collect right
+        // then: pin it for the move.
+        Handle pin(runtime, entry, "srv.cache.move");
         cacheUnlink(runtime, entry);
         cachePushFront(runtime, entry);
         return;
@@ -244,8 +249,10 @@ ServerWorkload::cacheLookupOrInsert(Runtime &runtime,
 
     if (cacheSize_ > options_.cacheCapacity) {
         Object *victim = cache_->ref(cacheTailSlot_);
-        cacheUnlink(runtime, victim);
+        // Read the key first: once unlinked, the victim may be
+        // reclaimed by another worker's collection.
         cacheIndex_.erase(victim->scalar<uint64_t>(0));
+        cacheUnlink(runtime, victim);
         --cacheSize_;
     }
 }

@@ -324,5 +324,205 @@ TEST_F(PathTest, RootNameAttributionPerRoot)
     EXPECT_EQ(violations()[0].rootName, "second-root");
 }
 
+/**
+ * Violations at and below wide fans of leaf objects (no reference
+ * slots). The trace never pushes a leaf and prefetches a whole fan
+ * before visiting it, yet every check must still fire during the
+ * fan's in-order visit, so each test pins the exact report order,
+ * path hops and message.
+ */
+class LeafFanPathTest : public RuntimeTest {
+  protected:
+    static constexpr uint32_t kFan = 96;
+
+    LeafFanPathTest()
+    {
+        leafType_ =
+            runtime_->types().define("Leaf").refCount(0).scalars(8).build();
+    }
+
+    Object *
+    leaf(uint64_t tag = 0)
+    {
+        Object *obj = runtime_->allocRaw(leafType_);
+        obj->setScalar<uint64_t>(0, tag);
+        return obj;
+    }
+
+    /** An Array of kFan leaves under slot 0 of @p parent; every
+     *  seventh slot stays null. */
+    Object *
+    leafFan(Object *parent)
+    {
+        Object *fan = runtime_->allocArrayRaw(arrayType_, kFan);
+        parent->setRef(0, fan);
+        for (uint32_t i = 0; i < kFan; ++i)
+            if (i % 7 != 6)
+                fan->setRef(i, leaf(i));
+        return fan;
+    }
+
+    /** Hop addresses of @p v's path. */
+    static std::vector<const void *>
+    hops(const Violation &v)
+    {
+        std::vector<const void *> out;
+        for (const auto &entry : v.path)
+            out.push_back(entry.address);
+        return out;
+    }
+
+    TypeId leafType_ = kInvalidTypeId;
+};
+
+TEST_F(LeafFanPathTest, DeadLeavesReportInSlotOrderWithExactPaths)
+{
+    Handle root = rootedNode(0, "fan-root");
+    Object *fan = leafFan(root.get());
+    // A subtree below the fan: slot 64 holds a node whose child is
+    // a dead leaf, reported only when the node itself is scanned.
+    Object *branch = node(64);
+    fan->setRef(64, branch);
+    Object *deep = leaf(1000);
+    branch->setRef(1, deep);
+    Object *first = fan->ref(5);
+    Object *last = fan->ref(88);
+    runtime_->assertDead(last);
+    runtime_->assertDead(deep);
+    runtime_->assertDead(first);
+    runtime_->collect();
+
+    ASSERT_EQ(violations().size(), 3u);
+    const char *msg = "an object that was asserted dead is reachable.";
+    for (const Violation &v : violations()) {
+        EXPECT_EQ(v.kind, AssertionKind::Dead);
+        EXPECT_EQ(v.message, msg);
+        EXPECT_EQ(v.rootName, "fan-root");
+        EXPECT_EQ(v.offendingType, "Leaf");
+    }
+    // Both fan leaves are reported during the fan's own visit loop,
+    // in slot order; the subtree leaf only after the loop ends.
+    EXPECT_EQ(hops(violations()[0]),
+              (std::vector<const void *>{root.get(), fan, first}));
+    EXPECT_EQ(hops(violations()[1]),
+              (std::vector<const void *>{root.get(), fan, last}));
+    EXPECT_EQ(hops(violations()[2]),
+              (std::vector<const void *>{root.get(), fan, branch, deep}));
+    EXPECT_EQ(pathTypes(violations()[2]),
+              (std::vector<std::string>{"Node", "Array", "Node", "Leaf"}));
+}
+
+TEST_F(LeafFanPathTest, UnsharedLeafReachedTwiceShowsTheSecondPath)
+{
+    Handle root = rootedNode(0, "fan-root");
+    Object *fan = leafFan(root.get());
+    // Shared within the fan: the second encounter is slot 70.
+    Object *twice = fan->ref(10);
+    fan->setRef(70, twice);
+    // Shared below the fan: nodes at slots 20 and 80 both hold it.
+    // The worklist is LIFO, so slot 80's node is scanned first and
+    // the report names slot 20's node.
+    Object *left = node(20);
+    Object *right = node(80);
+    fan->setRef(20, left);
+    fan->setRef(80, right);
+    Object *below = leaf(2000);
+    left->setRef(0, below);
+    right->setRef(1, below);
+    runtime_->assertUnshared(below);
+    runtime_->assertUnshared(twice);
+    runtime_->collect();
+
+    ASSERT_EQ(violations().size(), 2u);
+    for (const Violation &v : violations()) {
+        EXPECT_EQ(v.kind, AssertionKind::Unshared);
+        EXPECT_EQ(v.message,
+                  "an object that was asserted unshared has more than one "
+                  "incoming reference (second path shown).");
+        EXPECT_EQ(v.rootName, "fan-root");
+    }
+    EXPECT_EQ(hops(violations()[0]),
+              (std::vector<const void *>{root.get(), fan, twice}));
+    EXPECT_EQ(hops(violations()[1]),
+              (std::vector<const void *>{root.get(), fan, left, below}));
+}
+
+TEST_F(LeafFanPathTest, RegionLeafNamesItsRegion)
+{
+    Handle root = rootedNode(0, "fan-root");
+    Object *fan = leafFan(root.get());
+    runtime_->startRegion(nullptr, "request-7");
+    Object *escaped = nullptr;
+    for (uint32_t i = 0; i < kFan; ++i) {
+        Object *scratch = leaf(3000 + i);
+        if (i == 65)
+            escaped = scratch;
+    }
+    fan->setRef(65, escaped);
+    runtime_->assertAllDead();
+    runtime_->collect();
+
+    ASSERT_EQ(violations().size(), 1u);
+    const Violation &v = violations()[0];
+    EXPECT_EQ(v.kind, AssertionKind::AllDead);
+    EXPECT_EQ(v.message, "an object allocated in assert-alldead region "
+                         "'request-7' is reachable.");
+    EXPECT_EQ(v.rootName, "fan-root");
+    EXPECT_EQ(hops(v),
+              (std::vector<const void *>{root.get(), fan, escaped}));
+}
+
+TEST_F(LeafFanPathTest, OwneeLeavesInTheOwnerScanReportInOrder)
+{
+    Handle owner = rootedNode(0, "owner-root");
+    Handle other = rootedNode(1, "other-owner");
+    Object *fan = leafFan(owner.get());
+    // Owned leaves in the fan: silent.
+    runtime_->assertOwnedBy(owner.get(), fan->ref(3));
+    runtime_->assertOwnedBy(owner.get(), fan->ref(71));
+    // A leaf of the other owner inside this owner's fan: the owner
+    // regions overlap.
+    Object *foreign = fan->ref(66);
+    runtime_->assertOwnedBy(other.get(), foreign);
+    // A dead leaf further along the same fan.
+    Object *dead = fan->ref(75);
+    runtime_->assertDead(dead);
+    // An owned node in the fan whose child is an ownee leaf that is
+    // reachable only through that node: found by the deferred ownee
+    // scan, and not owned.
+    Object *holder = node(40);
+    fan->setRef(40, holder);
+    runtime_->assertOwnedBy(owner.get(), holder);
+    Object *stray = leaf(4000);
+    holder->setRef(0, stray);
+    runtime_->assertOwnedBy(owner.get(), stray);
+    runtime_->collect();
+
+    ASSERT_EQ(violations().size(), 3u);
+    const Violation &misuse = violations()[0];
+    EXPECT_EQ(misuse.kind, AssertionKind::OwnershipMisuse);
+    EXPECT_EQ(misuse.message,
+              "improper use of assert-ownedby: an ownee of a Node was "
+              "reached while scanning from a Node (owner regions must be "
+              "disjoint).");
+    EXPECT_EQ(misuse.rootName, "owner Node (ownership scan)");
+    EXPECT_EQ(hops(misuse), (std::vector<const void *>{fan, foreign}));
+
+    const Violation &dead_v = violations()[1];
+    EXPECT_EQ(dead_v.kind, AssertionKind::Dead);
+    EXPECT_EQ(dead_v.message,
+              "an object that was asserted dead is reachable.");
+    EXPECT_EQ(dead_v.rootName, "owner Node (ownership scan)");
+    EXPECT_EQ(hops(dead_v), (std::vector<const void *>{fan, dead}));
+
+    const Violation &owned = violations()[2];
+    EXPECT_EQ(owned.kind, AssertionKind::OwnedBy);
+    EXPECT_EQ(owned.message,
+              "an object asserted to be owned by a Node is reachable "
+              "without passing through its owner.");
+    EXPECT_EQ(owned.rootName, "ownee Node (ownership scan)");
+    EXPECT_EQ(hops(owned), (std::vector<const void *>{stray}));
+}
+
 } // namespace
 } // namespace gcassert
