@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "heap/verifier.h"
 #include "runtime/runtime.h"
 #include "support/logging.h"
 #include "workloads/server.h"
@@ -142,8 +144,12 @@ TEST(Server, CleanRunZeroViolationsAcrossKnobCombos)
              c.generational = true;
              c.nurseryKb = 64;
          }},
-        {"incremental",
-         [](RuntimeConfig &c) { c.incrementalAssert = true; }},
+        {"generational+backgraph",
+         [](RuntimeConfig &c) {
+             c.generational = true;
+             c.nurseryKb = 64;
+             c.backgraph = true;
+         }},
         {"parallel",
          [](RuntimeConfig &c) {
              c.markThreads = 4;
@@ -159,7 +165,6 @@ TEST(Server, CleanRunZeroViolationsAcrossKnobCombos)
          [](RuntimeConfig &c) {
              c.generational = true;
              c.nurseryKb = 64;
-             c.incrementalAssert = true;
              c.markThreads = 4;
              c.sweepThreads = 2;
              c.recordPaths = false;
@@ -167,10 +172,17 @@ TEST(Server, CleanRunZeroViolationsAcrossKnobCombos)
              c.lazySweep = true;
          }},
     };
+    // Generational combos run at least one mutator per core: minor
+    // collections racing concurrent mutators are where the
+    // remembered-set and local-root protocol can lose an object.
+    const uint32_t many_threads =
+        std::max(4u, std::thread::hardware_concurrency());
     for (const Combo &combo : combos) {
         ServerOptions options;
-        options.threads = 3;
         options.requestsPerThread = 400;
+        RuntimeConfig probe;
+        combo.apply(probe);
+        options.threads = probe.generational ? many_threads : 3;
         auto server = makeServerWithOptions(options);
         RuntimeConfig config = infraFor(*server);
         combo.apply(config);
@@ -178,8 +190,20 @@ TEST(Server, CleanRunZeroViolationsAcrossKnobCombos)
         server->setup(rt);
         server->enableAssertions(rt);
         server->iterate(rt);
+        if (config.generational) {
+            EXPECT_GT(rt.heap().nurseryCount(), 0u)
+                << "combo " << combo.name;
+        }
+        // Structural invariants (remembered set included) hold at
+        // the quiescent point after the mutators join, before the
+        // full GC promotes the nursery away.
+        std::vector<VerifierIssue> issues = HeapVerifier(rt).verify();
+        EXPECT_TRUE(issues.empty())
+            << "combo " << combo.name << ": " << issues.size()
+            << " heap issues, first: " << issues[0].what;
         rt.collect();
-        EXPECT_EQ(server->requestsCompleted(), 3u * 400u)
+        EXPECT_EQ(server->requestsCompleted(),
+                  uint64_t{options.threads} * 400u)
             << "combo " << combo.name;
         EXPECT_EQ(verdictCount(rt), 0u) << "combo " << combo.name;
         server->teardown(rt);
