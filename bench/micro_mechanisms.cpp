@@ -14,6 +14,8 @@
  *  - handle (root) registration;
  *  - per-object sweep dispatch: the templated hot loop vs the
  *    legacy std::function path (regression guard for the hoist);
+ *  - the full-heap sweep of a mostly live, scattered heap (guard for
+ *    the epoch marks: survivors are never written);
  *  - the TLAB allocation fast path vs the locked path.
  */
 
@@ -29,6 +31,7 @@
 #include "heap/block.h"
 #include "support/logging.h"
 #include "support/rng.h"
+#include "support/stopwatch.h"
 #include "runtime/runtime.h"
 
 namespace gcassert {
@@ -269,30 +272,88 @@ BM_SweepDispatch(benchmark::State &state)
         benchmark::DoNotOptimize(obj);
     };
     uint64_t sink = 0;
+    MarkEpoch epoch;
     for (auto _ : state) {
-        // Refill the cells freed by the previous round and mark
-        // every other object; identical work in both variants.
+        // Each round is a new mark epoch, in which last round's
+        // survivors read unmarked. Refill the cells freed by the
+        // previous round and mark every other object; identical work
+        // in both variants.
+        epoch = epoch.next();
         while (void *cell = block.allocateCell())
-            static_cast<Object *>(cell)->format(0, 2, 8);
+            static_cast<Object *>(cell)->format(0, 2, 8, epoch);
         size_t i = 0;
         block.forEachObject([&](Object *obj) {
             if ((i++ & 1) == 0)
-                obj->setFlag(kMarkBit);
+                obj->setMarked(epoch);
         });
         if (dynamic)
-            sink += block.sweep(fn);
+            sink += block.sweep(fn, epoch);
         else
             sink += block.sweepWith(
-                [](Object *obj) { benchmark::DoNotOptimize(obj); });
+                epoch, [](Object *obj) { benchmark::DoNotOptimize(obj); });
     }
     benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations() *
-                            (Block::kBlockBytes / 64));
+    state.SetItemsProcessed(state.iterations() * block.numCells());
 }
 BENCHMARK(BM_SweepDispatch)
     ->Arg(0)
     ->Arg(1)
     ->ArgName("dynamic");
+
+/**
+ * Full-heap sweep of a long-running heap: about 40 MiB of 48-byte
+ * cells, two-thirds of them live at shuffled addresses (the shape of
+ * `audit`'s heap after a full trace). Each round re-marks a fresh
+ * random two-thirds, refills the cells the previous round freed, and
+ * times only Heap::sweep with a counting on_free callback, as the
+ * collector runs it. Reports ns_per_block. The sweep reads every
+ * allocated cell's mark but writes only the dead cells (marks are
+ * epoch-relative), so a rise here means survivors are being written
+ * again or the read-ahead stopped streaming.
+ */
+void
+BM_SweepMostlyLive(benchmark::State &state)
+{
+    constexpr uint64_t kHeapBytes = 40ull << 20;
+    constexpr uint32_t kScalars = 24; // 40-byte objects, 48-byte cells
+    Heap heap(HeapConfig{2 * kHeapBytes, false, 1.5});
+    const uint64_t target = kHeapBytes / 48;
+    const uint64_t blocks = (target + Block::kBlockBytes / 48 - 1) /
+        (Block::kBlockBytes / 48);
+    std::vector<Object *> objects;
+    objects.reserve(target);
+    Rng rng(7);
+    uint64_t swept_nanos = 0;
+    uint64_t freed = 0;
+    for (auto _ : state) {
+        // Untimed: refill to the target population, then mark a
+        // random two-thirds of it.
+        while (heap.liveObjects() < target)
+            heap.allocate(0, 0, kScalars);
+        objects.clear();
+        heap.forEachObject([&](Object *obj) { objects.push_back(obj); });
+        rng.shuffle(objects);
+        for (size_t i = 0; i < objects.size() * 2 / 3; ++i)
+            objects[i]->setMarked(heap.markEpoch());
+
+        uint64_t t0 = nowNanos();
+        SweepStats stats = heap.sweep([&](Object *obj) {
+            freed += obj->sizeBytes() != 0;
+        });
+        uint64_t elapsed = nowNanos() - t0;
+        swept_nanos += elapsed;
+        state.SetIterationTime(double(elapsed) * 1e-9);
+        benchmark::DoNotOptimize(stats);
+    }
+    benchmark::DoNotOptimize(freed);
+    state.counters["ns_per_block"] =
+        double(swept_nanos) /
+        double(std::max<uint64_t>(blocks * state.iterations(), 1));
+    state.counters["blocks"] = double(blocks);
+}
+BENCHMARK(BM_SweepMostlyLive)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 /** Allocation through the TLAB fast path (shared lock + bump). */
 void

@@ -168,7 +168,7 @@ AssertionEngine::checkTrackedTypeLimits()
 }
 
 void
-AssertionEngine::onTraceDone(AssertCostTallies *cost)
+AssertionEngine::onTraceDone(MarkEpoch epoch, AssertCostTallies *cost)
 {
     // Instance- and volume-limit checks (paper: "at the end of GC,
     // we iterate through our list of tracked types").
@@ -185,7 +185,7 @@ AssertionEngine::onTraceDone(AssertCostTallies *cost)
     {
         CostScope scope(cost, AssertCostKind::AllDead);
         mutators_.forEach(
-            [](MutatorContext &mutator) { mutator.pruneRegionQueue(); });
+            [&](MutatorContext &mutator) { mutator.pruneRegionQueue(epoch); });
         regionLabels_.clear();
     }
 
@@ -198,7 +198,7 @@ AssertionEngine::onTraceDone(AssertCostTallies *cost)
     // a full path; if they die, the assertion was satisfied.
     {
         CostScope scope(cost, AssertCostKind::OwnedBy);
-        OwnershipTable::PruneResult pruned = ownership_.prune();
+        OwnershipTable::PruneResult pruned = ownership_.prune(epoch);
         stats_.owneeAssertsSatisfied += pruned.deadOwnees;
         if (options_.orphanedOwneeIsViolation) {
             for (Object *ownee : pruned.orphanedOwnees) {
@@ -207,15 +207,6 @@ AssertionEngine::onTraceDone(AssertCostTallies *cost)
             }
         }
     }
-}
-
-void
-AssertionEngine::onObjectFreed(Object *obj)
-{
-    if (obj->testFlag(kOrphanBit))
-        ++stats_.owneeAssertsSatisfied;
-    else if (obj->testFlag(kDeadBit))
-        ++stats_.deadAssertsSatisfied;
 }
 
 void

@@ -120,14 +120,22 @@ class AssertionEngine {
     /**
      * Post-trace finish work (run while mark bits are valid, before
      * sweep): instance-limit checks, region-queue pruning, ownership
-     * table pruning with orphaned-ownee reporting. When @p cost is
-     * non-null, each sub-step's time is attributed to its assertion
-     * kind.
+     * table pruning with orphaned-ownee reporting. Liveness is the
+     * mark in @p epoch. When @p cost is non-null, each sub-step's
+     * time is attributed to its assertion kind.
      */
-    void onTraceDone(AssertCostTallies *cost = nullptr);
+    void onTraceDone(MarkEpoch epoch, AssertCostTallies *cost = nullptr);
 
-    /** Sweep hook: account for satisfied lifetime assertions. */
-    void onObjectFreed(Object *obj);
+    /** Sweep hook: account for satisfied lifetime assertions.
+     *  Inline: the sweep calls it once per dead object. */
+    void
+    onObjectFreed(const Object *obj)
+    {
+        if (obj->testFlag(kOrphanBit))
+            ++stats_.owneeAssertsSatisfied;
+        else if (obj->testFlag(kDeadBit))
+            ++stats_.deadAssertsSatisfied;
+    }
 
     /**
      * Report a violation. Applies the reaction policy: logs via

@@ -19,6 +19,20 @@ containsSorted(const std::vector<Object *> &sorted, const Object *obj)
     return it != sorted.end() && *it == obj;
 }
 
+/**
+ * Take @p ownee out of the ownership protocol: its ownee bit, owner
+ * tag and per-GC owned bit. The owned bit is otherwise reset only
+ * for table members at GC start, so a departing ownee must not keep
+ * it.
+ */
+void
+dropOwneeState(Object *ownee)
+{
+    ownee->clearFlag(kOwneeBit);
+    ownee->clearFlag(kOwnedBit);
+    ownee->setOwnerTag(0);
+}
+
 } // namespace
 
 void
@@ -119,7 +133,7 @@ OwnershipTable::forEachOwner(
 }
 
 OwnershipTable::PruneResult
-OwnershipTable::prune()
+OwnershipTable::prune(MarkEpoch epoch)
 {
     ensureSorted();
     PruneResult result;
@@ -133,7 +147,7 @@ OwnershipTable::prune()
         // Compaction preserves the sorted order.
         size_t live = 0;
         for (Object *ownee : list) {
-            if (ownee->marked()) {
+            if (ownee->marked(epoch)) {
                 list[live++] = ownee;
             } else {
                 ownee->clearFlag(kOwneeBit);
@@ -142,14 +156,13 @@ OwnershipTable::prune()
         }
         list.resize(live);
 
-        if (!owner->marked()) {
+        if (!owner->marked(epoch)) {
             // Owner dies in this collection: its surviving ownees
             // have outlived it.
             owner->clearFlag(kOwnerBit);
             ++result.deadOwners;
             for (Object *ownee : list) {
-                ownee->clearFlag(kOwneeBit);
-                ownee->setOwnerTag(0);
+                dropOwneeState(ownee);
                 result.orphanedOwnees.push_back(ownee);
             }
             owners_moved = true;
@@ -171,11 +184,14 @@ OwnershipTable::prune()
     ownees_.resize(kept);
     // Owner compaction invalidates the header tags; reassign them.
     // In the steady state (no owner died) nothing moved and the
-    // pass is skipped entirely.
+    // pass is skipped entirely. An object registered under two
+    // owners that was just orphaned by one of them is no longer an
+    // ownee and stays untagged.
     if (owners_moved)
         for (size_t i = 0; i < owners_.size(); ++i)
             for (Object *ownee : ownees_[i])
-                ownee->setOwnerTag(static_cast<uint32_t>(i) + 1);
+                if (ownee->testFlag(kOwneeBit))
+                    ownee->setOwnerTag(static_cast<uint32_t>(i) + 1);
     return result;
 }
 
@@ -184,10 +200,8 @@ OwnershipTable::clear()
 {
     for (size_t i = 0; i < owners_.size(); ++i) {
         owners_[i]->clearFlag(kOwnerBit);
-        for (Object *ownee : ownees_[i]) {
-            ownee->clearFlag(kOwneeBit);
-            ownee->setOwnerTag(0);
-        }
+        for (Object *ownee : ownees_[i])
+            dropOwneeState(ownee);
     }
     owners_.clear();
     ownees_.clear();

@@ -75,11 +75,12 @@ class OwnershipTable {
 
     /**
      * Post-trace maintenance (run before sweep, while mark bits are
-     * valid): drop dead ownees, and drop owners that are about to be
-     * reclaimed, returning their surviving ownees so the engine can
-     * flag them as having outlived their owner.
+     * valid): drop dead ownees (not marked in @p epoch), and drop
+     * owners that are about to be reclaimed, returning their
+     * surviving ownees so the engine can flag them as having outlived
+     * their owner.
      */
-    PruneResult prune();
+    PruneResult prune(MarkEpoch epoch);
 
     /** Remove every pair (used on engine reset). */
     void clear();

@@ -101,13 +101,14 @@ class MutatorContext {
         return queue;
     }
 
-    /** Collector-side: drop queue entries that died in this GC. */
+    /** Collector-side: drop queue entries that died in this GC (not
+     *  marked in @p epoch). */
     void
-    pruneRegionQueue()
+    pruneRegionQueue(MarkEpoch epoch)
     {
         size_t kept = 0;
         for (Object *obj : regionQueue_)
-            if (obj->marked())
+            if (obj->marked(epoch))
                 regionQueue_[kept++] = obj;
         regionQueue_.resize(kept);
     }

@@ -102,14 +102,13 @@ Block::finishLazySweep()
     // ascending address order: the block's free cells end up in the
     // same order a freshly swept eager block would hand them out,
     // which keeps allocation addresses (and thus test outcomes)
-    // independent of when the finish happens.
+    // independent of when the finish happens. Only free cells are
+    // written.
     void *head = nullptr;
     FreeCell *tail = nullptr;
     for (uint32_t cell = 0; cell < numCells_; ++cell) {
-        if (usedBit(cell)) {
-            objectAt(cell)->clearFlag(kMarkBit);
+        if (usedBit(cell))
             continue;
-        }
         auto *fc = reinterpret_cast<FreeCell *>(objectAt(cell));
         fc->next = nullptr;
         if (tail)

@@ -54,7 +54,7 @@ Heap::allocateSmall(size_t size_class, TypeId type_id, uint32_t num_refs,
         !list[hint]->leased()) {
         if (void *cell = list[hint]->allocateCell()) {
             auto *obj = static_cast<Object *>(cell);
-            obj->format(type_id, num_refs, scalar_bytes);
+            obj->format(type_id, num_refs, scalar_bytes, markEpoch_);
             if (config_.generational)
                 noteNursery(obj, list[hint].get(),
                             kSizeClassBytes[size_class]);
@@ -62,13 +62,21 @@ Heap::allocateSmall(size_t size_class, TypeId type_id, uint32_t num_refs,
         }
     }
 
-    // Slow path: find any unleased block with room.
-    for (size_t i = 0; i < list.size(); ++i) {
+    // Slow path: find any unleased block with room, resuming at the
+    // hint and wrapping around. Blocks fill in list order between
+    // collections, so the ones before the hint are full and the
+    // choice is the same as a scan from the front, without
+    // re-checking every full block on each refill.
+    size_t n = list.size();
+    size_t start = hint >= 0 && static_cast<size_t>(hint) < n
+        ? static_cast<size_t>(hint) : 0;
+    for (size_t k = 0; k < n; ++k) {
+        size_t i = start + k < n ? start + k : start + k - n;
         if (!list[i]->leased() && !list[i]->full()) {
             void *cell = list[i]->allocateCell();
             allocHint_[size_class] = static_cast<ssize_t>(i);
             auto *obj = static_cast<Object *>(cell);
-            obj->format(type_id, num_refs, scalar_bytes);
+            obj->format(type_id, num_refs, scalar_bytes, markEpoch_);
             if (config_.generational)
                 noteNursery(obj, list[i].get(),
                             kSizeClassBytes[size_class]);
@@ -81,7 +89,7 @@ Heap::allocateSmall(size_t size_class, TypeId type_id, uint32_t num_refs,
     blocksMinted_.fetch_add(1, std::memory_order_relaxed);
     allocHint_[size_class] = static_cast<ssize_t>(list.size() - 1);
     auto *obj = static_cast<Object *>(list.back()->allocateCell());
-    obj->format(type_id, num_refs, scalar_bytes);
+    obj->format(type_id, num_refs, scalar_bytes, markEpoch_);
     if (config_.generational)
         noteNursery(obj, list.back().get(), kSizeClassBytes[size_class]);
     return obj;
@@ -95,7 +103,7 @@ Heap::allocateLarge(TypeId type_id, uint32_t num_refs,
     large.memory.reset(new char[size]);
     large.bytes = size;
     auto *obj = reinterpret_cast<Object *>(large.memory.get());
-    obj->format(type_id, num_refs, scalar_bytes);
+    obj->format(type_id, num_refs, scalar_bytes, markEpoch_);
     largeSet_.insert(obj);
     large_.push_back(std::move(large));
     if (config_.generational)
@@ -130,7 +138,7 @@ Heap::tlabAllocate(TlabCache &cache, TypeId type_id, uint32_t num_refs,
         return nullptr;
     }
     auto *obj = static_cast<Object *>(cell);
-    obj->format(type_id, num_refs, scalar_bytes);
+    obj->format(type_id, num_refs, scalar_bytes, markEpoch_);
     liveObjects_.fetch_add(1, std::memory_order_relaxed);
     totalAllocatedBytes_.fetch_add(charged, std::memory_order_relaxed);
     totalAllocatedObjects_.fetch_add(1, std::memory_order_relaxed);
@@ -191,19 +199,21 @@ Heap::sweepSmall(const std::function<void(Object *)> &on_free,
     if (threads <= 1) {
         for (Block *block : items) {
             if (options.lazy)
-                stats.freedBytes += block->lazySweep([&](Object *obj) {
-                    ++stats.freedObjects;
-                    if (on_free)
-                        on_free(obj);
-                });
+                stats.freedBytes +=
+                    block->lazySweep(markEpoch_, [&](Object *obj) {
+                        ++stats.freedObjects;
+                        if (on_free)
+                            on_free(obj);
+                    });
             else if (on_free)
-                stats.freedBytes += block->sweepWith([&](Object *obj) {
-                    ++stats.freedObjects;
-                    on_free(obj);
-                });
+                stats.freedBytes +=
+                    block->sweepWith(markEpoch_, [&](Object *obj) {
+                        ++stats.freedObjects;
+                        on_free(obj);
+                    });
             else
                 stats.freedBytes += block->sweepWith(
-                    [&](Object *) { ++stats.freedObjects; });
+                    markEpoch_, [&](Object *) { ++stats.freedObjects; });
         }
         return;
     }
@@ -241,21 +251,23 @@ Heap::sweepSmall(const std::function<void(Object *)> &on_free,
         for (size_t i = begin; i < end; ++i) {
             Block *block = items[i];
             if (options.lazy)
-                tally.bytes += block->lazySweep([&](Object *obj) {
-                    ++tally.objects;
-                    ++dead_found;
-                    dead[i].push_back(obj);
-                });
+                tally.bytes +=
+                    block->lazySweep(markEpoch_, [&](Object *obj) {
+                        ++tally.objects;
+                        ++dead_found;
+                        dead[i].push_back(obj);
+                    });
             else if (on_free)
-                block->identifyDead([&](Object *obj) {
+                block->identifyDead(markEpoch_, [&](Object *obj) {
                     ++dead_found;
                     dead[i].push_back(obj);
                 });
             else
-                tally.bytes += block->sweepWith([&](Object *) {
-                    ++tally.objects;
-                    ++dead_found;
-                });
+                tally.bytes +=
+                    block->sweepWith(markEpoch_, [&](Object *) {
+                        ++tally.objects;
+                        ++dead_found;
+                    });
         }
         if (span) {
             span->objects = dead_found;
@@ -302,8 +314,7 @@ Heap::sweep(const std::function<void(Object *)> &on_free,
     size_t kept = 0;
     for (auto &large : large_) {
         auto *obj = reinterpret_cast<Object *>(large.memory.get());
-        if (obj->marked()) {
-            obj->clearFlag(kMarkBit);
+        if (obj->marked(markEpoch_)) {
             large_[kept++] = std::move(large);
         } else {
             ++stats.freedObjects;
@@ -347,6 +358,10 @@ Heap::sweep(const std::function<void(Object *)> &on_free,
     minorFreedBytes_ = 0;
     minorFreedObjects_ = 0;
 
+    // Every survivor carries this epoch's mark; the next epoch reads
+    // it as clear, so no survivor is written to unmark it.
+    markEpoch_ = markEpoch_.next();
+
     stats.liveBytes = usedBytes();
     stats.liveObjects = liveObjects();
     return stats;
@@ -376,16 +391,6 @@ Heap::lazyPendingBlocks() const
             if (block->lazyPending())
                 ++pending;
     return pending;
-}
-
-bool
-Heap::inLazyPendingBlock(const Object *p) const
-{
-    for (size_t c = 0; c < kNumSizeClasses; ++c)
-        for (const auto &block : blocks_[c])
-            if (block->contains(p))
-                return block->lazyPending();
-    return false;
 }
 
 void
@@ -435,10 +440,11 @@ Heap::sweepNursery(const std::function<void(Object *)> &on_dead)
     NurserySweepStats stats;
     for (const NurseryEntry &entry : nursery_) {
         Object *obj = entry.obj;
-        if (obj->marked()) {
+        if (obj->marked(markEpoch_)) {
             // Promote in place: the heap is non-moving, so promotion
-            // is just dropping the nursery tag.
-            obj->clearFlag(kMarkBit);
+            // is just dropping the nursery tag. A minor GC does not
+            // flip the epoch, so the mark is reset too.
+            obj->clearMarked(markEpoch_);
             obj->clearFlag(kNurseryBit);
             ++stats.promotedObjects;
             continue;

@@ -46,12 +46,10 @@ HeapVerifier::verify() const
                                    "allocated set", i));
         }
 
-        // No stale collector state between collections. Exception:
-        // live objects in a block whose lazy sweep has not been
-        // finished yet legitimately keep their mark until allocation
-        // or the next GC prologue reaches the block.
-        if (obj->marked() &&
-            !runtime_.heap().inLazyPendingBlock(obj))
+        // No stale collector state between collections: the end of
+        // every full sweep advances the mark epoch, so no object,
+        // survivor or new, reads as marked in the heap's epoch.
+        if (obj->marked(runtime_.heap().markEpoch()))
             report(obj, "stale mark bit outside a collection");
         // The owned bit is per-GC state but is only reset at the
         // *start* of each collection, so between collections it may

@@ -6,7 +6,8 @@
  * invariants the collector and assertion engine rely on:
  *
  *  - every reference slot is null or points to an allocated object;
- *  - no object carries a stale mark bit between collections;
+ *  - no object reads as marked in the heap's mark epoch between
+ *    collections;
  *  - per-object assertion state is consistent (owner tags only on
  *    ownees, orphan bits only with dead bits);
  *  - object sizes match their type shape for fixed-shape types.

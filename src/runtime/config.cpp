@@ -79,6 +79,13 @@ defaultBackgraphWindow()
     return window ? window : 3;
 }
 
+bool
+defaultVerifyHeap()
+{
+    static const bool verify = envUint("GCASSERT_VERIFY_HEAP", 0) != 0;
+    return verify;
+}
+
 RuntimeConfig
 RuntimeConfig::base(uint64_t heap_bytes)
 {

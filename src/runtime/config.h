@@ -40,6 +40,7 @@ uint32_t defaultNurseryKb();
 bool defaultBackgraph();
 uint32_t defaultBackgraphInDegreeCap();
 uint32_t defaultBackgraphWindow();
+bool defaultVerifyHeap();
 /** @} */
 
 /**
@@ -151,6 +152,15 @@ struct RuntimeConfig {
 
     /** Log one line per collection. */
     bool verboseGc = false;
+
+    /**
+     * Run HeapVerifier (heap/verifier.h) after every full and minor
+     * collection, still inside the stopped world, and panic on the
+     * first issue. O(heap) per collection: a debugging and CI aid,
+     * not a production setting. Defaults to $GCASSERT_VERIFY_HEAP
+     * or false.
+     */
+    bool verifyHeap = defaultVerifyHeap();
 
     /** @return a Base configuration with the given heap budget. */
     static RuntimeConfig base(uint64_t heap_bytes);

@@ -1,5 +1,6 @@
 #include "runtime/runtime.h"
 
+#include "heap/verifier.h"
 #include "observe/live_server.h"
 #include "runtime/handle.h"
 #include "support/json.h"
@@ -338,7 +339,7 @@ Runtime::maybeMinorCollect()
     std::lock_guard<std::shared_mutex> guard(lock_);
     // Re-check under the lock: another mutator may have collected.
     if (heap_.nurseryBytes() >= threshold)
-        collector_.minorCollect();
+        collectMinorLocked();
 }
 
 Object *
@@ -616,7 +617,22 @@ MinorCollectionResult
 Runtime::collectMinor()
 {
     std::lock_guard<std::shared_mutex> guard(lock_);
-    return collector_.minorCollect();
+    return collectMinorLocked();
+}
+
+MinorCollectionResult
+Runtime::collectMinorLocked()
+{
+    MinorCollectionResult result = collector_.minorCollect();
+    maybeVerifyHeap();
+    return result;
+}
+
+void
+Runtime::maybeVerifyHeap()
+{
+    if (config_.verifyHeap)
+        HeapVerifier(*this).verifyOrPanic();
 }
 
 CollectionResult
@@ -686,6 +702,7 @@ CollectionResult
 Runtime::collectLocked()
 {
     CollectionResult result = collector_.collect();
+    maybeVerifyHeap();
     if (collector_.hasPendingFinalizers())
         finalizersPending_.store(true, std::memory_order_relaxed);
     if (config_.verboseGc) {

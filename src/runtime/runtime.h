@@ -324,6 +324,13 @@ class Runtime {
     /** Collection core; assumes the lock is held. */
     CollectionResult collectLocked();
 
+    /** Minor-collection core; assumes the lock is held. */
+    MinorCollectionResult collectMinorLocked();
+
+    /** With RuntimeConfig::verifyHeap, verify the heap or panic;
+     *  assumes the lock is held. */
+    void maybeVerifyHeap();
+
     /**
      * Allocation-entry nursery check: when generational mode is on
      * and the nursery has outgrown nurseryKb, run a minor collection

@@ -46,11 +46,11 @@ TEST_F(VerifierTest, HealthyAfterAssertionActivity)
 TEST_F(VerifierTest, DetectsStaleMarkBit)
 {
     Handle root = rootedNode(0);
-    root->setFlag(kMarkBit); // simulated corruption
+    root->setMarked(runtime_->heap().markEpoch()); // simulated corruption
     auto issues = verifier_.verify();
     ASSERT_EQ(issues.size(), 1u);
     EXPECT_NE(issues[0].what.find("stale mark bit"), std::string::npos);
-    root->clearFlag(kMarkBit);
+    root->clearMarked(runtime_->heap().markEpoch());
 }
 
 TEST_F(VerifierTest, DetectsStaleOwnedBit)
@@ -86,9 +86,56 @@ TEST_F(VerifierTest, DetectsOrphanWithoutDead)
 TEST_F(VerifierTest, VerifyOrPanicThrowsOnCorruption)
 {
     Handle root = rootedNode(0);
-    root->setFlag(kMarkBit);
+    root->setMarked(runtime_->heap().markEpoch());
     EXPECT_THROW(verifier_.verifyOrPanic(), PanicError);
-    root->clearFlag(kMarkBit);
+    root->clearMarked(runtime_->heap().markEpoch());
+}
+
+TEST_F(VerifierTest, DetectsStaleLargeObjectMark)
+{
+    Handle big(*runtime_, runtime_->allocArrayRaw(arrayType_, 4096),
+               "big");
+    ASSERT_GT(big->sizeBytes(), maxSmallObjectBytes());
+    big->setMarked(runtime_->heap().markEpoch());
+    auto issues = verifier_.verify();
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_NE(issues[0].what.find("stale mark bit"), std::string::npos);
+    big->clearMarked(runtime_->heap().markEpoch());
+    EXPECT_TRUE(verifier_.verify().empty());
+}
+
+TEST_F(VerifierTest, HealthyInBothMarkEpochs)
+{
+    Handle root = rootedNode(0);
+    root->setRef(0, node(1));
+    for (int gc = 0; gc < 3; ++gc) {
+        MarkEpoch before = runtime_->heap().markEpoch();
+        runtime_->collect();
+        EXPECT_EQ(runtime_->heap().markEpoch(), before.next());
+        EXPECT_TRUE(verifier_.verify().empty()) << "gc " << gc;
+    }
+}
+
+TEST(VerifyHeapKnob, VerifiesAfterEveryFullAndMinorCollection)
+{
+    CaptureLogSink capture;
+    RuntimeConfig config;
+    config.heap.budgetBytes = testutil::kTestHeapBytes;
+    config.generational = true;
+    config.verifyHeap = true;
+    Runtime rt(config);
+    TypeId node = rt.types().define("Node").refs({"next"}).build();
+    Handle root(rt, rt.allocRaw(node), "root");
+    for (int i = 0; i < 1000; ++i)
+        rt.allocRaw(node);
+    rt.collectMinor();
+    rt.collect(); // a healthy heap verifies clean
+
+    root->setOwnerTag(3); // corruption no collection repairs
+    EXPECT_THROW(rt.collectMinor(), PanicError);
+    EXPECT_THROW(rt.collect(), PanicError);
+    root->setOwnerTag(0);
+    rt.collect();
 }
 
 TEST_F(VerifierTest, CleanAcrossWorkloadStyleChurn)
