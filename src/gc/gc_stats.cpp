@@ -40,12 +40,8 @@ GcStats::toString() const
                       static_cast<unsigned long long>(parallelSweepPhases));
     }
     if (lazySweepGcs > 0) {
-        out += format("lazy sweeps:        %llu (blocks finished at GC: "
-                      "%llu, finish time: %.3f ms)\n",
-                      static_cast<unsigned long long>(lazySweepGcs),
-                      static_cast<unsigned long long>(
-                          lazyBlocksFinishedAtGc),
-                      lazyFinishPhase.elapsedSeconds() * 1e3);
+        out += format("lazy sweeps:        %llu\n",
+                      static_cast<unsigned long long>(lazySweepGcs));
     }
     if (minorCollections > 0) {
         out += format("minor collections:  %llu (promoted: %llu, swept: "
@@ -91,7 +87,6 @@ GcStats::toJson() const
         .field("pathDowngrades", pathDowngrades)
         .field("parallelSweepPhases", parallelSweepPhases)
         .field("lazySweepGcs", lazySweepGcs)
-        .field("lazyBlocksFinishedAtGc", lazyBlocksFinishedAtGc)
         .field("minorCollections", minorCollections)
         .field("nurseryPromoted", nurseryPromoted)
         .field("nurserySweptObjects", nurserySweptObjects)
@@ -103,7 +98,6 @@ GcStats::toJson() const
         .field("tracePhaseNanos", tracePhase.elapsedNanos())
         .field("sweepPhaseNanos", sweepPhase.elapsedNanos())
         .field("finishPhaseNanos", finishPhase.elapsedNanos())
-        .field("lazyFinishPhaseNanos", lazyFinishPhase.elapsedNanos())
         .field("minorGcNanos", minorGc.elapsedNanos())
         .endObject();
     return w.str();

@@ -85,13 +85,11 @@ struct GcStats {
     uint64_t lazySweepGcs = 0;
 
     /**
-     * Lazily swept blocks whose deferred finish happened in a later
-     * collection's prologue (the rest were finished incrementally by
-     * the allocation path).
+     * Time spent finishing deferred sweeps inside collections. Always
+     * zero: allocation finishes each pending block on first touch,
+     * and a collection sweeps a pending block as it is. Kept only
+     * because gcbench reports it as `gc.lazy_finish_ms`.
      */
-    uint64_t lazyBlocksFinishedAtGc = 0;
-
-    /** Time spent finishing deferred sweeps in GC prologues. */
     Stopwatch lazyFinishPhase;
 
     /** @} */

@@ -183,7 +183,6 @@ TEST(TelemetrySchema, ChromeTraceParsesWithPhaseSpans)
     EXPECT_TRUE(names.count("mark"));
     EXPECT_TRUE(names.count("sweep"));
     EXPECT_TRUE(names.count("finish"));
-    EXPECT_TRUE(names.count("lazy_finish"));
     // Parallel mark/sweep workers get their own tids (1..N), so
     // Perfetto renders them as sub-tracks under the collector row.
     EXPECT_GE(worker_tids.size(), 2u);
